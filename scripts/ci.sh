@@ -3,12 +3,10 @@
 #
 #   scripts/ci.sh          — the fast PR lane: clippy, tests, docs,
 #                            examples, tables, budgeted perf bins, the
-#                            bounded fault-sweep smoke, the warm-cache
-#                            verification smoke, and the perf-regression
-#                            gate.
+#                            bounded fault-sweep smoke, and the
+#                            perf-regression gate.
 #   scripts/ci.sh --deep   — everything above plus the nightly deep lane:
-#                            the full 1000-seed fault sweep and a
-#                            cold-cache verif_perf recording.
+#                            the full 1000-seed fault sweep.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,7 +19,7 @@ fi
 # enforced, not advisory: a bin blowing through its budget fails the run.
 # They are sized for an order-of-magnitude regression (a slow CI runner
 # fits comfortably; an accidentally quadratic check does not) — the
-# fine-grained regression gate is scripts/bench_gate.sh. CI_BUDGET_MULT
+# fine-grained regression gate is the bench_gate bin. CI_BUDGET_MULT
 # scales all budgets for unusually slow machines.
 BUDGET_MULT="${CI_BUDGET_MULT:-1}"
 
@@ -89,25 +87,6 @@ run_budgeted "triage demo" 120 \
 test -s TRIAGE_fault_sweep_demo.json
 echo "-- triage demo: shrink + replay passed, artifact written"
 
-echo "== verification cache smoke (warm) =="
-# Cold run populates the persistent verif-cache/v1 store; the warm run
-# must answer every obligation from it. `--stable` keeps both runs from
-# touching the committed BENCH_verif_perf.json.
-rm -f /tmp/verif-cache.json
-cargo run --release -p bench --bin verif_perf -- \
-  --engine-only --json --stable --cache /tmp/verif-cache.json > /tmp/verif_smoke_cold.json
-cargo run --release -p bench --bin verif_perf -- \
-  --engine-only --json --stable --cache /tmp/verif-cache.json > /tmp/verif_smoke_warm.json
-hits=$(sed -n 's/.*"cold":{"seconds":[^,]*,"hits":\([0-9]*\).*/\1/p' /tmp/verif_smoke_warm.json)
-misses=$(sed -n 's/.*"cold":{"seconds":[^,]*,"hits":[0-9]*,"misses":\([0-9]*\).*/\1/p' /tmp/verif_smoke_warm.json)
-test -n "$hits" && test -n "$misses"
-rate=$(echo "$hits $misses" | awk '{printf "%.1f", 100 * $1 / ($1 + $2)}')
-echo "-- verif smoke cache hit rate: ${rate}% (${hits} hits, ${misses} misses)"
-if [ "$misses" != "0" ]; then
-  echo "-- verif smoke: warm run re-proved ${misses} obligations — the persistent cache is not answering"
-  exit 1
-fi
-
 echo "== bench --json =="
 # emit_json re-parses its own output before printing, so a successful run
 # already proves the document is valid; the python pass is an independent
@@ -133,18 +112,13 @@ if command -v python3 >/dev/null 2>&1; then
 fi
 
 echo "== perf-regression gate =="
-# Generate fresh records without clobbering the committed baselines
-# (emit_json writes BENCH_*.json in place, so park and restore them),
-# then compare fresh against baseline ±tolerance.
-for f in BENCH_verif_perf.json BENCH_spec_throughput.json; do
-  if [ -f "$f" ]; then cp "$f" "/tmp/$f.recorded"; fi
-done
-cargo run --release -p bench --bin verif_perf -- --json > /tmp/fresh_verif_perf.json
+# Generate a fresh record without clobbering the committed baseline
+# (emit_json writes BENCH_*.json in place, so park and restore it), then
+# compare fresh against baseline within the gate's tolerance.
+cp BENCH_spec_throughput.json /tmp/BENCH_spec_throughput.json.recorded
 cargo run --release -p bench --bin spec_throughput -- --json > /tmp/fresh_spec_throughput.json
-for f in BENCH_verif_perf.json BENCH_spec_throughput.json; do
-  if [ -f "/tmp/$f.recorded" ]; then mv "/tmp/$f.recorded" "$f"; fi
-done
-scripts/bench_gate.sh /tmp/fresh_verif_perf.json /tmp/fresh_spec_throughput.json
+mv /tmp/BENCH_spec_throughput.json.recorded BENCH_spec_throughput.json
+cargo run --release -p bench --bin bench_gate -- /tmp/fresh_spec_throughput.json
 
 if [ "$DEEP" = "1" ]; then
   echo "== deep: full 1000-seed fault sweep =="
@@ -154,13 +128,6 @@ if [ "$DEEP" = "1" ]; then
   run_budgeted "fault_sweep --seeds 1000" 3600 \
     cargo run --release -p bench --bin fault_sweep -- --seeds 1000 --json > /tmp/bench_fault_sweep_deep.json
   test -s /tmp/bench_fault_sweep_deep.json
-
-  echo "== deep: cold-cache verif_perf =="
-  # A from-scratch proving run (no persistent store, full corpus + system
-  # checks) — the number the warm-cache PR smoke is measured against.
-  rm -f /tmp/verif-cache-deep.json
-  run_budgeted "verif_perf cold-cache" 600 \
-    cargo run --release -p bench --bin verif_perf -- --json --cache /tmp/verif-cache-deep.json > /dev/null
 fi
 
 echo "ALL CHECKS PASSED"
