@@ -12,19 +12,14 @@
 //! range swept twice (and with different shard counts) must publish
 //! byte-identical counter reports.
 //!
-//! The sweep is crash-resilient: per-seed panics are caught and reported,
-//! transient budget exhaustion retries with escalating budgets, and
-//! `--checkpoint`/`--resume` make a killed run continue where it stopped
-//! with a byte-identical final report. Failing seeds are triaged
-//! automatically — delta-debugged to a 1-minimal fault plan with a named
-//! divergence site, written as `TRIAGE_fault_sweep_seed<N>.json`.
+//! Per-seed panics are caught and reported without aborting the sweep.
+//! Failing seeds are triaged automatically — delta-debugged to a
+//! 1-minimal fault plan with a named divergence site, written as
+//! `TRIAGE_fault_sweep_seed<N>.json`.
 //!
-//! Flags:
+//! Flags (anything else, or a value that does not parse, exits 2):
 //! * `--seeds N` (default 1000), `--shards N` (default: one per hardware
 //!   thread), `--json`;
-//! * `--checkpoint PATH` (write progress atomically; default cadence
-//!   every 64 seeds, `--checkpoint-every N` to change);
-//! * `--resume PATH` (continue a killed sweep from its checkpoint);
 //! * `--triage-dir DIR` (where triage artifacts go; default: the
 //!   workspace root, next to `BENCH_fault_sweep.json`);
 //! * `--triage-demo` (run a planted unrecoverable plan through the full
@@ -33,33 +28,66 @@
 //! * `--replay-plan PATH` (re-run one plan from a `fault-plan/v1` or
 //!   `triage-report/v1` file: the one-liner a triage artifact names).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
 use bench::{counters_json, emit_json, json_mode, render_table, workspace_root};
 use lightbulb_system::devices::FaultPlan;
 use lightbulb_system::integration::differential::{
-    default_shards, fault_check_plan, fault_sweep, fault_sweep_with, CheckpointConfig,
-    FaultSweepConfig, FaultSweepOptions, RetryPolicy, SweepOptions,
+    default_shards, fault_check_plan, fault_sweep, fault_sweep_with, FaultSweepConfig,
 };
-use lightbulb_system::integration::{build_image, triage_plan, SweepCheckpoint};
+use lightbulb_system::integration::{build_image, triage_plan};
 use obs::json::Value;
 
-fn arg_value(name: &str) -> Option<u64> {
-    arg_str(name).and_then(|v| v.parse().ok())
+const USAGE: &str = "usage: fault_sweep [--seeds N] [--shards N] [--json] [--triage-dir DIR] \
+                     | --triage-demo [--triage-dir DIR] | --replay-plan PATH";
+
+/// The parsed command line.
+#[derive(Debug)]
+struct Args {
+    seeds: u64,
+    shards: usize,
+    triage_dir: PathBuf,
+    triage_demo: bool,
+    replay_plan: Option<PathBuf>,
 }
 
-fn arg_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn has_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
+/// Parses the arguments after the program name. Unknown flags, missing
+/// values and values that do not parse are errors, never defaults: a
+/// typo must not silently sweep a different range.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    fn value<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<&'a str, String> {
+        it.next()
+            .map(String::as_str)
+            .ok_or_else(|| format!("{flag} needs a value"))
+    }
+    fn number<T: FromStr>(flag: &str, text: &str) -> Result<T, String> {
+        text.parse()
+            .map_err(|_| format!("{flag}: {text:?} is not a non-negative integer"))
+    }
+    let mut out = Args {
+        seeds: 1000,
+        shards: default_shards(),
+        triage_dir: workspace_root(),
+        triage_demo: false,
+        replay_plan: None,
+    };
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            // Read by `bench::json_mode`.
+            "--json" => {}
+            "--triage-demo" => out.triage_demo = true,
+            "--seeds" => out.seeds = number(flag, value(&mut it, flag)?)?,
+            "--shards" => out.shards = number(flag, value(&mut it, flag)?)?,
+            "--triage-dir" => out.triage_dir = PathBuf::from(value(&mut it, flag)?),
+            "--replay-plan" => out.replay_plan = Some(PathBuf::from(value(&mut it, flag)?)),
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(out)
 }
 
 /// The planted unrecoverable plan for `--triage-demo`: BYTE_TEST junk far
@@ -79,7 +107,7 @@ fn demo_plan() -> FaultPlan {
 /// `--triage-demo`: exercise the whole red-sweep workflow on the planted
 /// plan — fail, shrink, locate, write the artifact — and verify the
 /// artifact round-trips. Exits nonzero if any triage promise breaks.
-fn run_triage_demo(triage_dir: &std::path::Path) -> ExitCode {
+fn run_triage_demo(triage_dir: &Path) -> ExitCode {
     let cfg = FaultSweepConfig {
         require_done: true,
         ..FaultSweepConfig::default()
@@ -93,9 +121,7 @@ fn run_triage_demo(triage_dir: &std::path::Path) -> ExitCode {
     let original = report.original.atoms().len();
     let minimal = report.minimal.atoms().len();
     let path = triage_dir.join("TRIAGE_fault_sweep_demo.json");
-    if let Err(e) =
-        lightbulb_system::integration::checkpoint::write_atomic(&path, &report.to_json().render())
-    {
+    if let Err(e) = report.write_atomic(&path) {
         eprintln!("triage demo: could not write {}: {e}", path.display());
         return ExitCode::from(2);
     }
@@ -137,7 +163,7 @@ fn run_triage_demo(triage_dir: &std::path::Path) -> ExitCode {
 /// Loads a plan from a `fault-plan/v1` or `triage-report/v1` document and
 /// runs [`fault_check_plan`] on it once. Returns the error the plan
 /// produces (`None`: the plan passes).
-fn replay_file(path: &std::path::Path, quiet: bool) -> Result<Option<String>, String> {
+fn replay_file(path: &Path, quiet: bool) -> Result<Option<String>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let doc = obs::json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -187,13 +213,20 @@ fn replay_file(path: &std::path::Path, quiet: bool) -> Result<Option<String>, St
 }
 
 fn main() -> ExitCode {
-    let triage_dir = arg_str("--triage-dir").map_or_else(workspace_root, PathBuf::from);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
-    if has_flag("--triage-demo") {
-        return run_triage_demo(&triage_dir);
+    if args.triage_demo {
+        return run_triage_demo(&args.triage_dir);
     }
-    if let Some(path) = arg_str("--replay-plan") {
-        return match replay_file(std::path::Path::new(&path), false) {
+    if let Some(path) = &args.replay_plan {
+        return match replay_file(path, false) {
             Ok(None) => ExitCode::SUCCESS,
             Ok(Some(_)) => ExitCode::from(1),
             Err(e) => {
@@ -203,62 +236,10 @@ fn main() -> ExitCode {
         };
     }
 
-    let seeds = arg_value("--seeds").unwrap_or(1000);
-    let shards = arg_value("--shards").unwrap_or(default_shards() as u64) as usize;
+    let seeds = args.seeds;
     let cfg = FaultSweepConfig::default();
-
-    // Checkpoint/resume plumbing. A resume without an explicit
-    // --checkpoint keeps writing to the file it resumed from.
-    let resume_path = arg_str("--resume").map(PathBuf::from);
-    let checkpoint_path = arg_str("--checkpoint")
-        .map(PathBuf::from)
-        .or_else(|| resume_path.clone());
-    let resume = match &resume_path {
-        Some(path) => match SweepCheckpoint::load(path) {
-            Ok(cp) => {
-                // Validate against the geometry the engine will derive, so
-                // a wrong --seeds/--shards refuses cleanly here instead of
-                // panicking inside the sweep.
-                let n = seeds;
-                let sh = (shards.max(1) as u64).min(n.max(1));
-                let chunk = n.div_ceil(sh);
-                let used = if n == 0 { 1 } else { n.div_ceil(chunk) };
-                if let Err(e) = cp.validate(0, n, used as usize, chunk, Some("fault_sweep")) {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-                println!(
-                    "resuming from {}: {} of {} seeds already done",
-                    path.display(),
-                    cp.completed(),
-                    cp.total
-                );
-                Some(cp)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-    let opts = FaultSweepOptions {
-        sweep: SweepOptions {
-            retry: RetryPolicy::escalating(),
-            checkpoint: checkpoint_path.as_ref().map(|path| CheckpointConfig {
-                path: path.clone(),
-                every: arg_value("--checkpoint-every").unwrap_or(64).max(1),
-                tag: "fault_sweep".to_string(),
-            }),
-            resume,
-            cancel: None,
-        },
-        triage: 3,
-        triage_dir: Some(triage_dir),
-    };
-
     let t0 = Instant::now();
-    let report = fault_sweep_with(0..seeds, shards, &cfg, &opts);
+    let report = fault_sweep_with(0..seeds, args.shards, &cfg, Some(&args.triage_dir));
     let secs = t0.elapsed().as_secs_f64();
     report.expect_clean("fault sweep");
 
@@ -282,8 +263,6 @@ fn main() -> ExitCode {
     let injected = report.counters.get("devices.faults.injected");
     let retries = report.counters.get("driver.retries");
     let reinits = report.counters.get("driver.reinit");
-    let retried = report.counters.get("core.diff.retried_seeds");
-    let recovered = report.counters.get("core.diff.recovered_seeds");
 
     if json_mode() {
         let data = Value::obj()
@@ -296,9 +275,6 @@ fn main() -> ExitCode {
             .field("conclusive", Value::UInt(report.conclusive))
             .field("failures", Value::UInt(report.failures.len() as u64))
             .field("panicked", Value::UInt(report.panicked.len() as u64))
-            .field("retried_seeds", Value::UInt(retried))
-            .field("recovered_seeds", Value::UInt(recovered))
-            .field("resumed", Value::Bool(resume_path.is_some()))
             .field("seconds", Value::Float(secs))
             .field("seeds_per_sec", Value::Float(seeds as f64 / secs))
             .field("frames_per_run", Value::UInt(cfg.frames as u64))
@@ -322,10 +298,6 @@ fn main() -> ExitCode {
         vec!["conclusive".to_string(), report.conclusive.to_string()],
         vec!["failures".to_string(), report.failures.len().to_string()],
         vec!["panicked".to_string(), report.panicked.len().to_string()],
-        vec![
-            "retried / recovered".to_string(),
-            format!("{retried} / {recovered}"),
-        ],
         vec!["shards".to_string(), report.shards.to_string()],
         vec!["wall clock".to_string(), format!("{secs:.2} s")],
         vec![
@@ -350,4 +322,33 @@ fn main() -> ExitCode {
         if deterministic { "passed" } else { "FAILED" }
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn good_arguments_parse() {
+        let args = parse(&["--seeds", "96", "--shards", "3", "--json"]).expect("valid");
+        assert_eq!((args.seeds, args.shards), (96, 3));
+        assert!(!args.triage_demo && args.replay_plan.is_none());
+        let args = parse(&["--replay-plan", "t.json"]).expect("valid");
+        assert_eq!(args.replay_plan, Some(PathBuf::from("t.json")));
+        assert_eq!(parse(&[]).expect("valid").seeds, 1000);
+    }
+
+    #[test]
+    fn bad_arguments_are_rejected() {
+        let err = parse(&["--seeds", "96k"]).expect_err("unparsable value");
+        assert!(err.contains("96k"), "{err}");
+        let err = parse(&["--resume", "x"]).expect_err("unknown flag");
+        assert!(err.contains("--resume"), "{err}");
+        assert!(parse(&["--shards"]).is_err(), "missing value");
+        assert!(parse(&["--seeds", "-1"]).is_err(), "negative count");
+    }
 }

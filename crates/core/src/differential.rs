@@ -25,7 +25,6 @@ use bedrock2::semantics::Interp;
 use bedrock2_compiler::{compile, CompileOptions, CompiledProgram, MmioExtCompiler};
 use devices::{Board, FaultPlan, FrameFault, TrafficGen};
 use lightbulb::{good_hl_trace, probe, MmioBridge};
-use obs::json::Value;
 use obs::Counters;
 use processor::refinement::ReplayHandler;
 use processor::{Divergence, SingleCycle};
@@ -33,8 +32,7 @@ use riscv_spec::{Memory, MmioEvent, SpecMachine, StepOutcome};
 use std::fmt::Write as _;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
-use std::sync::Mutex;
+use std::path::Path;
 
 /// Fuel for source-level runs.
 const SOURCE_FUEL: u64 = 4_000_000;
@@ -76,28 +74,14 @@ pub enum DiffError {
         model: &'static str,
     },
     /// The run stayed inside the spec but the workload did not complete
-    /// within the cycle budget. Transient under a bigger budget; a
-    /// liveness failure once retries exhaust the escalation schedule.
-    /// Produced only when [`FaultSweepConfig::require_done`] is set.
+    /// within the cycle budget: a liveness failure. Produced only when
+    /// [`FaultSweepConfig::require_done`] is set.
     WorkloadIncomplete {
         /// Frames the board delivered before the budget ran out.
         delivered: u64,
         /// Frames the plan lets through (injected minus dropped).
         expected: u64,
     },
-}
-
-impl DiffError {
-    /// True for failures a bigger budget might clear (fuel/cycle
-    /// exhaustion): the sweep engine retries these with escalating budgets
-    /// before classifying the seed as failed. Everything else is a hard
-    /// disagreement and retrying would only reproduce it.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            DiffError::MachineTimeout | DiffError::WorkloadIncomplete { .. }
-        )
-    }
 }
 
 impl std::fmt::Display for DiffError {
@@ -327,117 +311,6 @@ pub fn check_isa_consistency(prog: &Program, optimize: bool) -> Result<(), DiffE
     Ok(())
 }
 
-/// The classified result of one seed, after panic isolation and retries.
-/// The engine folds these into the [`SweepReport`] aggregates; the enum is
-/// public so custom harnesses can pattern-match checkpoint/triage output.
-#[derive(Clone, Debug)]
-pub enum SeedOutcome {
-    /// The check passed (possibly after retries).
-    Passed {
-        /// The seed that passed.
-        seed: u64,
-    },
-    /// Discarded as [`DiffError::SourceUb`] (outside every theorem).
-    Inconclusive {
-        /// The seed discarded.
-        seed: u64,
-        /// Why the run proves nothing.
-        reason: String,
-    },
-    /// A genuine disagreement (transient errors already retried).
-    Failed {
-        /// The failing seed.
-        seed: u64,
-        /// What went wrong.
-        error: DiffError,
-    },
-    /// The check panicked; the panic was caught, the seed recorded, and
-    /// the rest of the sweep continued.
-    Panicked {
-        /// The seed whose check panicked.
-        seed: u64,
-        /// The panic payload (message), when it was a string.
-        payload: String,
-    },
-}
-
-/// How the sweep engine retries transiently-failing seeds
-/// ([`DiffError::is_transient`]): up to `attempts` tries per seed, the
-/// attempt index passed to the check so it can escalate its budget, with
-/// a bounded exponential backoff between tries.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts per seed (≥ 1; 1 means no retry).
-    pub attempts: u32,
-    /// Backoff before the first retry, in milliseconds (doubles per
-    /// retry).
-    pub base_backoff_ms: u64,
-    /// Ceiling on any single backoff, in milliseconds — the schedule is
-    /// bounded by `attempts * backoff_cap_ms` total sleep.
-    pub backoff_cap_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    /// No retries: every error classifies immediately.
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 1,
-            base_backoff_ms: 0,
-            backoff_cap_ms: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The fault-sweep default: three attempts (quick, escalated,
-    /// escalated-again budgets) with a short bounded backoff.
-    pub fn escalating() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 3,
-            base_backoff_ms: 2,
-            backoff_cap_ms: 20,
-        }
-    }
-
-    /// The sleep before retry number `retry` (1-based), capped.
-    fn backoff(&self, retry: u32) -> std::time::Duration {
-        let ms = self
-            .base_backoff_ms
-            .saturating_mul(1u64 << (retry - 1).min(16))
-            .min(self.backoff_cap_ms);
-        std::time::Duration::from_millis(ms)
-    }
-}
-
-/// Knobs for [`resilient_sweep`] beyond the seed range and shard count.
-#[derive(Clone, Debug, Default)]
-pub struct SweepOptions {
-    /// Retry schedule for transient failures.
-    pub retry: RetryPolicy,
-    /// Write a [`crate::checkpoint::SweepCheckpoint`] to this path as the
-    /// sweep progresses.
-    pub checkpoint: Option<CheckpointConfig>,
-    /// Resume from a previously written checkpoint: completed seeds are
-    /// skipped and their recorded outcomes merged as if just computed.
-    pub resume: Option<crate::checkpoint::SweepCheckpoint>,
-    /// Cooperative cancellation: when set to `true` mid-sweep, every shard
-    /// stops at its next seed boundary, a final checkpoint is written, and
-    /// the report comes back with `interrupted = true`.
-    pub cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-}
-
-/// Where and how often checkpoints are written.
-#[derive(Clone, Debug)]
-pub struct CheckpointConfig {
-    /// Checkpoint file path (written atomically: temp file + rename).
-    pub path: std::path::PathBuf,
-    /// Write after every N completed seeds (across all shards).
-    pub every: u64,
-    /// Workload tag recorded in the file; resume refuses a tag mismatch so
-    /// a checkpoint can never silently resume a different sweep.
-    pub tag: String,
-}
-
 /// The outcome of a sharded seed sweep ([`parallel_sweep`],
 /// [`resilient_sweep`]).
 #[derive(Clone, Debug, Default)]
@@ -463,13 +336,8 @@ pub struct SweepReport {
     pub start: u64,
     /// Seeds per shard (the last shard may run fewer).
     pub chunk: u64,
-    /// True when the sweep was cancelled before covering every seed; the
-    /// checkpoint (if configured) holds the exact resume point.
-    pub interrupted: bool,
-    /// Path of the last checkpoint written, for error messages.
-    pub checkpoint_path: Option<String>,
     /// Shrunken counterexamples for failing seeds (filled by
-    /// [`fault_sweep_with`] when triage is enabled).
+    /// [`fault_sweep_with`]).
     pub triage: Vec<crate::triage::TriageSummary>,
 }
 
@@ -482,19 +350,17 @@ impl SweepReport {
             .unwrap_or(0) as usize
     }
 
-    /// True when nothing failed, nothing panicked, and the sweep ran to
-    /// completion.
+    /// True when nothing failed and nothing panicked.
     pub fn is_clean(&self) -> bool {
-        self.failures.is_empty() && self.panicked.is_empty() && !self.interrupted
+        self.failures.is_empty() && self.panicked.is_empty()
     }
 
     /// Panics with the first failing seed — and the shard it ran in — if
     /// any: the sweep analogue of `Result::unwrap` for test harnesses.
     /// The message carries everything a reproduction needs: the one-liner
-    /// seed-range repro, the checkpoint path when one was written, and the
-    /// triage summaries (minimal plan size + divergence site) when
-    /// shrinking ran. Panicked seeds and interrupted sweeps fail too —
-    /// a sweep that did not cover its range proves nothing.
+    /// seed-range repro and the triage summaries (minimal plan size +
+    /// divergence site) when shrinking ran. Panicked seeds fail too — a
+    /// sweep that did not classify every seed proves nothing.
     pub fn expect_clean(&self, name: &str) {
         if self.is_clean() {
             return;
@@ -511,6 +377,9 @@ impl SweepReport {
                 self.shards,
                 seed + 1,
             );
+            if !self.panicked.is_empty() {
+                let _ = write!(msg, "; plus {} panicked seed(s)", self.panicked.len());
+            }
         } else if let Some((seed, payload)) = self.panicked.first() {
             let _ = write!(
                 msg,
@@ -520,16 +389,6 @@ impl SweepReport {
                 self.shard_of(*seed),
                 self.shards,
             );
-        } else {
-            let _ = write!(
-                msg,
-                "{name}: sweep interrupted after {} of {} seeds",
-                self.conclusive + self.inconclusive,
-                self.total,
-            );
-        }
-        if !self.failures.is_empty() && !self.panicked.is_empty() {
-            let _ = write!(msg, "; plus {} panicked seed(s)", self.panicked.len());
         }
         for t in &self.triage {
             let _ = write!(
@@ -538,67 +397,7 @@ impl SweepReport {
                 t.seed, t.original_atoms, t.minimal_atoms, t.divergence
             );
         }
-        if let Some(path) = &self.checkpoint_path {
-            let _ = write!(msg, "\n  checkpoint: {path}");
-        }
         panic!("{msg}");
-    }
-
-    /// The canonical JSON rendering of the report (`sweep-report/v1`).
-    /// Two sweeps over the same seeds with the same check render
-    /// byte-identically, regardless of shard count and regardless of
-    /// whether either was interrupted and resumed — the property the
-    /// checkpoint tests pin down. `checkpoint_path` is deliberately
-    /// excluded: it describes how the sweep was driven, not what it found.
-    pub fn to_json(&self) -> Value {
-        Value::obj()
-            .field("schema", Value::Str("sweep-report/v1".into()))
-            .field("total", Value::UInt(self.total))
-            .field("conclusive", Value::UInt(self.conclusive))
-            .field("inconclusive", Value::UInt(self.inconclusive))
-            .field("interrupted", Value::Bool(self.interrupted))
-            .field(
-                "failures",
-                Value::Arr(
-                    self.failures
-                        .iter()
-                        .map(|(seed, e)| {
-                            Value::obj()
-                                .field("seed", Value::UInt(*seed))
-                                .field("error", crate::checkpoint::error_to_json(e))
-                        })
-                        .collect(),
-                ),
-            )
-            .field(
-                "panicked",
-                Value::Arr(
-                    self.panicked
-                        .iter()
-                        .map(|(seed, payload)| {
-                            Value::obj()
-                                .field("seed", Value::UInt(*seed))
-                                .field("payload", Value::Str(payload.clone()))
-                        })
-                        .collect(),
-                ),
-            )
-            .field("shards", Value::UInt(self.shards as u64))
-            .field("start", Value::UInt(self.start))
-            .field("chunk", Value::UInt(self.chunk))
-            .field(
-                "triage",
-                Value::Arr(self.triage.iter().map(|t| t.to_json()).collect()),
-            )
-            .field(
-                "counters",
-                Value::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| (k.to_string(), Value::UInt(v)))
-                        .collect(),
-                ),
-            )
     }
 }
 
@@ -637,19 +436,7 @@ where
     G: Fn(u64) -> Program + Sync,
     C: Fn(&Program) -> Result<(), DiffError> + Sync,
 {
-    sweep_seeds(seeds, shards, |seed, _| check(&generate(seed)))
-}
-
-/// The sharding engine behind the legacy sweeps: [`resilient_sweep`] with
-/// default options (no retry, no checkpointing) and the attempt index
-/// hidden from the check.
-fn sweep_seeds<C>(seeds: Range<u64>, shards: usize, check: C) -> SweepReport
-where
-    C: Fn(u64, &mut Counters) -> Result<(), DiffError> + Sync,
-{
-    resilient_sweep(seeds, shards, &SweepOptions::default(), |seed, _, c| {
-        check(seed, c)
-    })
+    resilient_sweep(seeds, shards, |seed, _| check(&generate(seed)))
 }
 
 /// Extracts a printable message from a caught panic payload.
@@ -663,175 +450,58 @@ fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one seed to a classified [`SeedOutcome`]: the check is guarded by
-/// `catch_unwind` (a panicking seed is an outcome, not a poisoned sweep),
-/// and transient failures are retried up to the policy's attempt budget
-/// with the attempt index passed through so the check can escalate fuel.
-fn run_seed<C>(seed: u64, retry: &RetryPolicy, counters: &mut Counters, check: &C) -> SeedOutcome
-where
-    C: Fn(u64, u32, &mut Counters) -> Result<(), DiffError> + Sync,
-{
-    let attempts = retry.attempts.max(1);
-    let mut attempt = 0;
-    loop {
-        // The closure touches the shard's counters across the unwind
-        // boundary; a panicking seed may leave partial telemetry behind,
-        // which stays deterministic because the same partial work happens
-        // at every shard count.
-        let result = catch_unwind(AssertUnwindSafe(|| check(seed, attempt, &mut *counters)));
-        match result {
-            Err(payload) => {
-                // Panics are deterministic here (no I/O, no wall-clock in
-                // the checks), so retrying would only panic again.
-                return SeedOutcome::Panicked {
-                    seed,
-                    payload: panic_payload(payload),
-                };
-            }
-            Ok(Ok(())) => {
-                if attempt > 0 {
-                    counters.add("core.diff.recovered_seeds", 1);
-                }
-                return SeedOutcome::Passed { seed };
-            }
-            Ok(Err(DiffError::SourceUb(reason))) => {
-                return SeedOutcome::Inconclusive { seed, reason }
-            }
-            Ok(Err(e)) if e.is_transient() && attempt + 1 < attempts => {
-                if attempt == 0 {
-                    counters.add("core.diff.retried_seeds", 1);
-                }
-                counters.add("core.diff.retry_attempts", 1);
-                attempt += 1;
-                let backoff = retry.backoff(attempt);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
-            Ok(Err(error)) => return SeedOutcome::Failed { seed, error },
-        }
-    }
-}
-
-/// The crash-resilient sharding engine behind every sweep: runs `check`
-/// once per seed (attempt index second), split into contiguous chunks
-/// across OS threads. Per seed, panics are caught and recorded
-/// ([`SeedOutcome::Panicked`]) and transient failures retried
-/// ([`RetryPolicy`]); per sweep, progress can be checkpointed atomically
-/// and resumed ([`SweepOptions::checkpoint`] / [`SweepOptions::resume`]),
-/// with the resumed report byte-identical to an uninterrupted run's.
+/// The sharding engine behind every sweep: runs `check` once per seed,
+/// split into contiguous chunks across OS threads. Each seed runs under
+/// `catch_unwind`, so a panicking seed is recorded in
+/// [`SweepReport::panicked`] and the rest of the sweep continues;
+/// [`DiffError::SourceUb`] counts as inconclusive and every other error as
+/// a failure.
 ///
 /// `check` may record per-seed telemetry into the shard's [`Counters`];
 /// summed counters merge order-insensitively, so reports stay identical
 /// across shard counts.
-///
-/// # Panics
-///
-/// Panics when `opts.resume` carries a checkpoint whose geometry or tag
-/// does not match this sweep — resuming a different sweep would silently
-/// fabricate results. CLI frontends validate first via
-/// [`crate::checkpoint::SweepCheckpoint::validate`].
-pub fn resilient_sweep<C>(
-    seeds: Range<u64>,
-    shards: usize,
-    opts: &SweepOptions,
-    check: C,
-) -> SweepReport
+pub fn resilient_sweep<C>(seeds: Range<u64>, shards: usize, check: C) -> SweepReport
 where
-    C: Fn(u64, u32, &mut Counters) -> Result<(), DiffError> + Sync,
+    C: Fn(u64, &mut Counters) -> Result<(), DiffError> + Sync,
 {
-    use crate::checkpoint::{ShardProgress, SweepCheckpoint};
-
     let start = seeds.start;
     let all: Vec<u64> = seeds.collect();
     let shards = shards.clamp(1, all.len().max(1));
     let chunk = all.len().div_ceil(shards);
-    let shards_used = if all.is_empty() {
-        1
-    } else {
-        all.chunks(chunk).count()
-    };
 
-    if let Some(cp) = &opts.resume {
-        let tag = opts.checkpoint.as_ref().map(|c| c.tag.as_str());
-        cp.validate(start, all.len() as u64, shards_used, chunk as u64, tag)
-            .unwrap_or_else(|e| panic!("cannot resume this sweep from the checkpoint: {e}"));
-    }
-
-    // One live progress record per shard, shared with the checkpoint
-    // writer. Writes go through a temp-file rename, so a kill at any
-    // moment leaves either the previous or the next complete checkpoint.
-    let progress: Mutex<SweepCheckpoint> = Mutex::new(match &opts.resume {
-        Some(cp) => cp.clone(),
-        None => SweepCheckpoint::fresh(
-            opts.checkpoint.as_ref().map_or("", |c| c.tag.as_str()),
-            start,
-            all.len() as u64,
-            shards_used,
-            chunk as u64,
-        ),
-    });
-    let written = std::sync::atomic::AtomicU64::new(0);
-
-    let checkpoint_tick = |shard_idx: usize, state: &ShardProgress, force: bool| {
-        let Some(cfg) = &opts.checkpoint else { return };
-        let mut cp = progress
-            .lock()
-            .expect("checkpoint mutex poisoned: a previous tick panicked while writing");
-        cp.shard_states[shard_idx] = state.clone();
-        let n = written.fetch_add(1, Ordering::Relaxed) + 1;
-        if force || n.is_multiple_of(cfg.every.max(1)) {
-            if let Err(e) = cp.write_atomic(&cfg.path) {
-                // A failed checkpoint write must not kill the sweep it
-                // exists to protect; the sweep still completes, only
-                // resumability degrades to the previous snapshot.
-                eprintln!(
-                    "warning: checkpoint write to {} failed: {e}",
-                    cfg.path.display()
-                );
-            }
-        }
-    };
-
-    let cancelled = || {
-        opts.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-    };
-
-    let run_shard = |shard_idx: usize, seeds: &[u64]| -> ShardProgress {
-        let mut state = match &opts.resume {
-            Some(cp) => cp.shard_states[shard_idx].clone(),
-            None => ShardProgress::default(),
-        };
-        for &seed in seeds.iter().skip(state.done as usize) {
-            if cancelled() {
-                checkpoint_tick(shard_idx, &state, true);
-                return state;
-            }
-            match run_seed(seed, &opts.retry, &mut state.counters, &check) {
-                SeedOutcome::Passed { .. } => state.conclusive += 1,
-                SeedOutcome::Inconclusive { .. } => state.inconclusive += 1,
-                SeedOutcome::Failed { seed, error } => state.failures.push((seed, error)),
-                SeedOutcome::Panicked { seed, payload } => {
-                    state.counters.add("core.diff.panicked", 1);
-                    state.panicked.push((seed, payload));
+    let run_shard = |seeds: &[u64]| -> SweepReport {
+        let mut part = SweepReport::default();
+        for &seed in seeds {
+            // The closure touches the shard's counters across the unwind
+            // boundary; a panicking seed may leave partial telemetry
+            // behind, which stays deterministic because the same partial
+            // work happens at every shard count.
+            match catch_unwind(AssertUnwindSafe(|| check(seed, &mut part.counters))) {
+                Ok(Ok(())) => part.conclusive += 1,
+                Ok(Err(DiffError::SourceUb(_))) => part.inconclusive += 1,
+                Ok(Err(error)) => part.failures.push((seed, error)),
+                Err(payload) => {
+                    part.counters.add("core.diff.panicked", 1);
+                    part.panicked.push((seed, panic_payload(payload)));
                 }
             }
-            state.done += 1;
-            checkpoint_tick(shard_idx, &state, false);
         }
-        state
+        part.counters.set("core.diff.seeds", seeds.len() as u64);
+        part.counters.set("core.diff.conclusive", part.conclusive);
+        part.counters
+            .set("core.diff.inconclusive", part.inconclusive);
+        part.counters
+            .set("core.diff.failures", part.failures.len() as u64);
+        part
     };
 
-    let results: Vec<ShardProgress> = if shards == 1 || all.is_empty() {
-        vec![run_shard(0, &all)]
+    let parts: Vec<SweepReport> = if shards == 1 {
+        vec![run_shard(&all)]
     } else {
         std::thread::scope(|s| {
             let handles: Vec<_> = all
                 .chunks(chunk)
-                .enumerate()
-                .map(|(i, c)| s.spawn(move || run_shard(i, c)))
+                .map(|c| s.spawn(move || run_shard(c)))
                 .collect();
             handles
                 .into_iter()
@@ -847,37 +517,23 @@ where
         })
     };
 
-    let done: u64 = results.iter().map(|s| s.done).sum();
     let mut report = SweepReport {
         total: all.len() as u64,
-        shards: shards_used,
+        shards: parts.len(),
         start,
         chunk: chunk as u64,
-        interrupted: done < all.len() as u64,
-        checkpoint_path: opts
-            .checkpoint
-            .as_ref()
-            .map(|c| c.path.display().to_string()),
         ..SweepReport::default()
     };
-    for state in &results {
-        let mut counters = state.counters.clone();
-        counters.set("core.diff.seeds", state.done);
-        counters.set("core.diff.conclusive", state.conclusive);
-        counters.set("core.diff.inconclusive", state.inconclusive);
-        counters.set("core.diff.failures", state.failures.len() as u64);
-        report.conclusive += state.conclusive;
-        report.inconclusive += state.inconclusive;
-        report.failures.extend(state.failures.iter().cloned());
-        report.panicked.extend(state.panicked.iter().cloned());
-        report.counters.merge(&counters);
+    for part in parts {
+        report.conclusive += part.conclusive;
+        report.inconclusive += part.inconclusive;
+        report.failures.extend(part.failures);
+        report.panicked.extend(part.panicked);
+        report.counters.merge(&part.counters);
     }
-    report.counters.set("core.diff.shards", shards_used as u64);
-    // Seal the checkpoint with every shard's final state so a resume of a
-    // finished sweep is a no-op that reproduces the same report.
-    if let Some(last) = results.len().checked_sub(1) {
-        checkpoint_tick(last, &results[last], true);
-    }
+    report
+        .counters
+        .set("core.diff.shards", report.shards as u64);
     report
 }
 
@@ -905,9 +561,10 @@ pub struct FaultSweepConfig {
     /// frame delivered, pending queue drained) within the full budget,
     /// reporting [`DiffError::WorkloadIncomplete`] otherwise. Off by
     /// default: the base sweep checks safety (spec satisfaction and
-    /// refinement), and recoverable plans are calibrated for that; this
-    /// flag turns the sweep into a liveness check, the mode the triage
-    /// demo uses to plant a deliberate failure.
+    /// refinement), and recoverable plans are calibrated for that. With
+    /// it set, each check is also a liveness check: the triage demo uses
+    /// it to plant a deliberate failure, and `fault_sweep --replay-plan`
+    /// sets it to reproduce a `workload_incomplete` triage artifact.
     pub require_done: bool,
 }
 
@@ -1105,86 +762,46 @@ fn replay_into_spec_core(
     Ok(())
 }
 
-/// Knobs for [`fault_sweep_with`] beyond the sweep itself.
-#[derive(Clone, Debug)]
-pub struct FaultSweepOptions {
-    /// Engine options (retry schedule, checkpoint/resume, cancellation).
-    pub sweep: SweepOptions,
-    /// Shrink up to this many failing seeds into
-    /// [`crate::triage::TriageReport`]s after the sweep (0 disables).
-    pub triage: usize,
-    /// Directory where full `TRIAGE_fault_sweep_seed<N>.json` artifacts
-    /// are written (`None`: summaries only, no files).
-    pub triage_dir: Option<std::path::PathBuf>,
-}
-
-impl Default for FaultSweepOptions {
-    /// Escalating retries, triage of the first three failures, no
-    /// checkpointing, no artifact files.
-    fn default() -> FaultSweepOptions {
-        FaultSweepOptions {
-            sweep: SweepOptions {
-                retry: RetryPolicy::escalating(),
-                ..SweepOptions::default()
-            },
-            triage: 3,
-            triage_dir: None,
-        }
-    }
-}
-
-/// The per-attempt budget escalation: each retry of a transiently-failing
-/// seed doubles the full budget, capped at two doublings — bounded, like
-/// the backoff schedule, so a genuinely dead seed classifies quickly.
-pub fn escalate_budget(cfg: &FaultSweepConfig, attempt: u32) -> FaultSweepConfig {
-    let mut out = cfg.clone();
-    out.max_cycles = cfg.max_cycles << attempt.min(2);
-    out
-}
+/// Failing seeds [`fault_sweep_with`] shrinks after the sweep.
+const TRIAGED_FAILURES: usize = 3;
 
 /// Sweeps seeded fault plans through [`fault_check`], sharded like
 /// [`parallel_sweep`]. The boot image is compiled once and shared across
 /// shards; each seed builds its own trace predicate (they are `Rc`-based
 /// and stay thread-local). The report's counters carry the sweep's
-/// aggregate fault/recovery telemetry. This is [`fault_sweep_with`] under
-/// default options: escalating retries, automatic triage of the first few
-/// failures, no checkpointing.
+/// aggregate fault/recovery telemetry. This is [`fault_sweep_with`]
+/// without artifact files: the first few failures are still triaged into
+/// [`SweepReport::triage`].
 pub fn fault_sweep(seeds: Range<u64>, shards: usize, cfg: &FaultSweepConfig) -> SweepReport {
-    fault_sweep_with(seeds, shards, cfg, &FaultSweepOptions::default())
+    fault_sweep_with(seeds, shards, cfg, None)
 }
 
-/// [`fault_sweep`] with explicit [`FaultSweepOptions`]: panic-isolated,
-/// retrying, checkpointable, and self-triaging. After the sweep, each
-/// failing seed (up to `opts.triage`) is shrunk to a locally-minimal
-/// fault plan with a named divergence site; summaries land in
+/// [`fault_sweep`], panic-isolated and self-triaging. After the sweep, the
+/// first few failing seeds are shrunk to locally-minimal fault plans with
+/// named divergence sites. Triage probes run at `cfg` itself, the budget
+/// the seed failed at, so an artifact from a default-config sweep
+/// reproduces under `fault_sweep --replay-plan`. Summaries land in
 /// [`SweepReport::triage`] (and in [`SweepReport::expect_clean`]'s panic
-/// message), full reports in `opts.triage_dir` when set.
+/// message), full `TRIAGE_fault_sweep_seed<N>.json` reports in
+/// `triage_dir` when set.
 pub fn fault_sweep_with(
     seeds: Range<u64>,
     shards: usize,
     cfg: &FaultSweepConfig,
-    opts: &FaultSweepOptions,
+    triage_dir: Option<&Path>,
 ) -> SweepReport {
     let image = build_image(&cfg.system);
-    let mut report = resilient_sweep(seeds, shards, &opts.sweep, |seed, attempt, counters| {
-        fault_check_plan(
-            &FaultPlan::from_seed(seed),
-            &escalate_budget(cfg, attempt),
-            &image,
-            counters,
-        )
+    let mut report = resilient_sweep(seeds, shards, |seed, counters| {
+        fault_check(seed, cfg, &image, counters)
     });
 
-    // Failing seeds were classified at full escalation; triage probes the
-    // same (deterministic) configuration the failure was confirmed at.
-    let final_cfg = escalate_budget(cfg, opts.sweep.retry.attempts.saturating_sub(1));
-    for (seed, _) in report.failures.iter().take(opts.triage) {
-        let Some(tr) = crate::triage::triage_seed(*seed, &final_cfg, &image) else {
+    for (seed, _) in report.failures.iter().take(TRIAGED_FAILURES) {
+        let Some(tr) = crate::triage::triage_seed(*seed, cfg, &image) else {
             continue;
         };
-        let artifact = opts.triage_dir.as_ref().and_then(|dir| {
+        let artifact = triage_dir.and_then(|dir| {
             let path = dir.join(format!("TRIAGE_fault_sweep_seed{seed}.json"));
-            match crate::checkpoint::write_atomic(&path, &tr.to_json().render()) {
+            match tr.write_atomic(&path) {
                 Ok(()) => Some(path.display().to_string()),
                 Err(e) => {
                     eprintln!("warning: could not write {}: {e}", path.display());

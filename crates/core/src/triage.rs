@@ -25,7 +25,6 @@
 //! `SweepReport::expect_clean` quotes and `fault_sweep --triage-dir`
 //! writes to disk.
 
-use crate::checkpoint::{error_to_json, event_to_json};
 use crate::differential::{fault_check_plan, DiffError, FaultSweepConfig};
 use crate::system::ProcessorKind;
 use bedrock2_compiler::CompiledProgram;
@@ -33,8 +32,9 @@ use devices::{FaultPlan, TrafficGen};
 use lightbulb::good_hl_trace;
 use obs::json::Value;
 use obs::Counters;
-use riscv_spec::MmioEvent;
+use riscv_spec::{MmioEvent, MmioEventKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 
 /// Events shown before the divergence index in each suffix window.
 const SUFFIX_BEFORE: usize = 4;
@@ -58,7 +58,8 @@ pub struct TriageSummary {
 }
 
 impl TriageSummary {
-    /// The summary as JSON (embedded in `sweep-report/v1`).
+    /// The summary as JSON (the `triage` array of the `fault_sweep`
+    /// BENCH record).
     pub fn to_json(&self) -> Value {
         Value::obj()
             .field("seed", Value::UInt(self.seed))
@@ -159,6 +160,74 @@ impl TriageReport {
             )
             .field("repro", Value::Str(self.repro()))
     }
+
+    /// Writes the full report ([`TriageReport::to_json`]) to `path`
+    /// atomically: the bytes land in `<path>.tmp` first and are renamed
+    /// over the target, so a reader (or a process kill) never observes a
+    /// torn artifact.
+    ///
+    /// # Errors
+    ///
+    /// The underlying I/O error, as a printable message.
+    pub fn write_atomic(&self, path: &Path) -> Result<(), String> {
+        let tmp = path.with_extension("tmp");
+        std::fs::write(&tmp, format!("{}\n", self.to_json().render()))
+            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
+        std::fs::rename(&tmp, path)
+            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+    }
+}
+
+/// One MMIO event as JSON (`{"kind": "ld"|"st", "addr", "value"}`).
+fn event_to_json(e: &MmioEvent) -> Value {
+    Value::obj()
+        .field(
+            "kind",
+            Value::Str(match e.kind {
+                MmioEventKind::Load => "ld".into(),
+                MmioEventKind::Store => "st".into(),
+            }),
+        )
+        .field("addr", Value::UInt(e.addr as u64))
+        .field("value", Value::UInt(e.value as u64))
+}
+
+/// A [`DiffError`] as JSON: a `kind` tag plus the variant's fields.
+/// `--replay-plan` reads the `kind` back to decide whether a failure needs
+/// liveness mode to reproduce.
+fn error_to_json(e: &DiffError) -> Value {
+    let kind = |k: &str| Value::obj().field("kind", Value::Str(k.into()));
+    match e {
+        DiffError::SourceUb(m) => kind("source_ub").field("msg", Value::Str(m.clone())),
+        DiffError::CompileError(m) => kind("compile_error").field("msg", Value::Str(m.clone())),
+        DiffError::MachineError(m) => kind("machine_error").field("msg", Value::Str(m.clone())),
+        DiffError::MachineTimeout => kind("machine_timeout"),
+        DiffError::TraceMismatch {
+            index,
+            source,
+            machine,
+        } => kind("trace_mismatch")
+            .field("index", Value::UInt(*index as u64))
+            .field("source", source.as_ref().map_or(Value::Null, event_to_json))
+            .field(
+                "machine",
+                machine.as_ref().map_or(Value::Null, event_to_json),
+            ),
+        DiffError::SpecViolation {
+            matched,
+            total,
+            model,
+        } => kind("spec_violation")
+            .field("matched", Value::UInt(*matched as u64))
+            .field("total", Value::UInt(*total as u64))
+            .field("model", Value::Str((*model).to_string())),
+        DiffError::WorkloadIncomplete {
+            delivered,
+            expected,
+        } => kind("workload_incomplete")
+            .field("delivered", Value::UInt(*delivered))
+            .field("expected", Value::UInt(*expected)),
+    }
 }
 
 /// Delta-debugs `original` down to a 1-minimal failing plan under `fails`
@@ -211,8 +280,8 @@ where
 }
 
 /// Triages one failing sweep seed: shrink its seeded plan, then locate the
-/// divergence under the minimal plan. Returns `None` when the seed does
-/// not actually fail under `cfg` (e.g. it only failed at a smaller budget).
+/// divergence under the minimal plan. Returns `None` when the seed passes
+/// under `cfg`: there is nothing to triage.
 pub fn triage_seed(
     seed: u64,
     cfg: &FaultSweepConfig,
@@ -393,6 +462,82 @@ mod tests {
             let sub = FaultPlan::from_atoms(minimal.seed, &fewer);
             assert!(sub.wire_garbage.len() < 2, "removal {i} still fails");
         }
+    }
+
+    fn sample_errors() -> Vec<DiffError> {
+        vec![
+            DiffError::SourceUb("fuel".into()),
+            DiffError::CompileError("bad".into()),
+            DiffError::MachineError("trap".into()),
+            DiffError::MachineTimeout,
+            DiffError::TraceMismatch {
+                index: 12,
+                source: Some(MmioEvent::load(0x1000_0000, 7)),
+                machine: None,
+            },
+            DiffError::SpecViolation {
+                matched: 3,
+                total: 9,
+                model: "pipelined",
+            },
+            DiffError::WorkloadIncomplete {
+                delivered: 1,
+                expected: 3,
+            },
+        ]
+    }
+
+    #[test]
+    fn every_error_variant_renders_a_distinct_kind() {
+        // `--replay-plan` keys liveness mode on the artifact's error kind,
+        // so no two variants may share one.
+        let errors = sample_errors();
+        let kinds: std::collections::BTreeSet<String> = errors
+            .iter()
+            .map(|e| {
+                error_to_json(e)
+                    .get("kind")
+                    .and_then(Value::as_str)
+                    .expect("every error renders a kind")
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(kinds.len(), errors.len(), "kinds collide: {kinds:?}");
+        assert!(kinds.contains("workload_incomplete"));
+    }
+
+    fn sample_report(seed: u64) -> TriageReport {
+        let plan = FaultPlan::from_atoms(seed, &[FaultAtom::ByteTestJunk(3)]);
+        TriageReport {
+            seed,
+            original: plan.clone(),
+            minimal: plan,
+            probes: 1,
+            error: DiffError::MachineTimeout,
+            site: DivergenceSite {
+                index: 0,
+                description: "planted".into(),
+                pipelined_suffix: Vec::new(),
+                spec_suffix: Vec::new(),
+            },
+        }
+    }
+
+    #[test]
+    fn atomic_write_replaces_not_appends() {
+        let dir = std::env::temp_dir().join("lightbulb-triage-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("triage.json");
+        sample_report(1).write_atomic(&path).expect("write");
+        let second = sample_report(2);
+        second.write_atomic(&path).expect("write");
+        let text = std::fs::read_to_string(&path).expect("read back");
+        assert_eq!(text, format!("{}\n", second.to_json().render()));
+        assert!(
+            !path.with_extension("tmp").exists(),
+            "tmp file renamed away"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

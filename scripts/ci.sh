@@ -71,10 +71,8 @@ echo "== fault-sweep smoke (budgeted wall clock) =="
 # Bounded version of the full 1000-seed sweep (BENCH_fault_sweep.json):
 # every seeded fault plan must stay recoverable on both machine models,
 # and the report must be shard-count invariant (the binary self-checks).
-# Checkpointing is on so the resume path is exercised under real load;
-# a green sweep seals the checkpoint as fully-complete.
 run_budgeted "fault_sweep --seeds 96" 300 \
-  cargo run --release -p bench --bin fault_sweep -- --seeds 96 --checkpoint /tmp/fault_sweep.cp.json --checkpoint-every 16
+  cargo run --release -p bench --bin fault_sweep -- --seeds 96
 
 echo "== fault-sweep triage demo =="
 # A deliberately unrecoverable plan (bring-up junk past the driver's

@@ -4,11 +4,10 @@
 
 use lightbulb_system::devices::{FaultPlan, TrafficGen};
 use lightbulb_system::integration::differential::{
-    fault_sweep, fault_sweep_with, resilient_sweep, CheckpointConfig, FaultSweepConfig,
-    FaultSweepOptions, RetryPolicy, SweepOptions, SweepReport,
+    fault_sweep, resilient_sweep, FaultSweepConfig, SweepReport,
 };
 use lightbulb_system::integration::{
-    build_image, DiffError, ProcessorKind, SweepCheckpoint, SystemConfig, TriageSummary,
+    build_image, DiffError, ProcessorKind, SystemConfig, TriageSummary,
 };
 use obs::Counters;
 
@@ -87,7 +86,7 @@ fn fault_sweep_smoke_is_clean_and_shard_count_invariant() {
 
 /// `expect_clean` must name both the failing seed and its shard, so a
 /// sweep failure in CI reproduces with a one-liner — and when the sweep
-/// carried checkpoint/triage context, the message must surface that too:
+/// triaged its failures, the message must quote the triage summaries too:
 /// the panic string is the only thing CI shows, so it is the contract.
 #[test]
 fn expect_clean_names_the_failing_seed_and_shard() {
@@ -99,7 +98,6 @@ fn expect_clean_names_the_failing_seed_and_shard() {
         shards: 4,
         start: 0,
         chunk: 10,
-        checkpoint_path: Some("/tmp/sweep.cp.json".to_string()),
         triage: vec![TriageSummary {
             seed: 13,
             original_atoms: 9,
@@ -132,10 +130,6 @@ fn expect_clean_names_the_failing_seed_and_shard() {
         msg.contains("workload stalls after event 41"),
         "message must name the divergence site: {msg}"
     );
-    assert!(
-        msg.contains("/tmp/sweep.cp.json"),
-        "message must point at the checkpoint: {msg}"
-    );
 }
 
 /// A panicking seed must not abort the sweep: the panic is caught, the
@@ -143,7 +137,7 @@ fn expect_clean_names_the_failing_seed_and_shard() {
 /// then fails with the panicking seed named.
 #[test]
 fn a_panicking_seed_is_isolated_and_reported() {
-    let report = resilient_sweep(0..20, 4, &SweepOptions::default(), |seed, _, _| {
+    let report = resilient_sweep(0..20, 4, |seed, _| {
         assert!(seed != 13, "planted panic on seed 13");
         Ok(())
     });
@@ -161,176 +155,6 @@ fn a_panicking_seed_is_isolated_and_reported() {
         .expect_err("a report with panicked seeds must fail expect_clean");
     let msg = panic.downcast_ref::<String>().expect("formatted payload");
     assert!(msg.contains("seed 13"), "must name the seed: {msg}");
-}
-
-/// Transient failures (here: planted `MachineTimeout`s that clear on the
-/// second attempt) are retried under the policy and end up conclusive,
-/// with the recovery visible in the counters.
-#[test]
-fn transient_failures_are_retried_and_recover() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let first_attempts = AtomicU64::new(0);
-    let opts = SweepOptions {
-        retry: RetryPolicy {
-            attempts: 3,
-            base_backoff_ms: 0,
-            backoff_cap_ms: 0,
-        },
-        ..SweepOptions::default()
-    };
-    let report = resilient_sweep(0..10, 2, &opts, |seed, attempt, _| {
-        if seed % 3 == 0 && attempt == 0 {
-            first_attempts.fetch_add(1, Ordering::Relaxed);
-            return Err(DiffError::MachineTimeout);
-        }
-        Ok(())
-    });
-    report.expect_clean("retried sweep");
-    assert_eq!(report.conclusive, 10);
-    assert_eq!(first_attempts.load(Ordering::Relaxed), 4, "seeds 0,3,6,9");
-    assert_eq!(report.counters.get("core.diff.retried_seeds"), 4);
-    assert_eq!(report.counters.get("core.diff.recovered_seeds"), 4);
-    assert_eq!(report.counters.get("core.diff.retry_attempts"), 4);
-}
-
-/// Hard (non-transient) failures must classify on the first attempt: the
-/// retry budget is for budget exhaustion, not for reproducing a real
-/// disagreement three times.
-#[test]
-fn hard_failures_are_not_retried() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let calls = AtomicU64::new(0);
-    let opts = SweepOptions {
-        retry: RetryPolicy {
-            attempts: 3,
-            base_backoff_ms: 0,
-            backoff_cap_ms: 0,
-        },
-        ..SweepOptions::default()
-    };
-    let report = resilient_sweep(5..6, 1, &opts, |_, _, _| {
-        calls.fetch_add(1, Ordering::Relaxed);
-        Err(DiffError::SpecViolation {
-            matched: 1,
-            total: 2,
-            model: "pipelined",
-        })
-    });
-    assert_eq!(calls.load(Ordering::Relaxed), 1, "no retry on hard failure");
-    assert_eq!(report.failures.len(), 1);
-    assert_eq!(report.counters.get("core.diff.retry_attempts"), 0);
-}
-
-/// The resume property, end to end on the real fault-check: cancel a
-/// sweep partway (simulating a kill at an arbitrary cursor), resume from
-/// its checkpoint, and require the final report to be byte-identical to
-/// an uninterrupted run's.
-#[test]
-fn a_killed_sweep_resumes_to_a_byte_identical_report() {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    let dir = std::env::temp_dir().join("lightbulb-resume-test");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let cp_path = dir.join("fault_sweep.cp.json");
-    std::fs::remove_file(&cp_path).ok();
-    let checkpoint = || CheckpointConfig {
-        path: cp_path.clone(),
-        every: 1,
-        tag: "fault_sweep".to_string(),
-    };
-    let cfg = FaultSweepConfig::default();
-
-    // Reference: one uninterrupted run.
-    let fresh = fault_sweep_with(
-        0..6,
-        2,
-        &cfg,
-        &FaultSweepOptions {
-            sweep: SweepOptions {
-                checkpoint: Some(checkpoint()),
-                ..SweepOptions::default()
-            },
-            ..FaultSweepOptions::default()
-        },
-    );
-    fresh.expect_clean("fresh fault sweep");
-
-    // "Kill" a second run after a few seeds: the check itself flips the
-    // cancel flag (the engine checks it at every seed boundary), which is
-    // observationally a kill at an arbitrary cursor — except the final
-    // forced checkpoint still lands, as it would under a signal handler.
-    std::fs::remove_file(&cp_path).ok();
-    let cancel = Arc::new(AtomicBool::new(false));
-    let started = AtomicU64::new(0);
-    let image = build_image(&cfg.system);
-    let interrupted = {
-        let opts = SweepOptions {
-            checkpoint: Some(checkpoint()),
-            cancel: Some(Arc::clone(&cancel)),
-            ..SweepOptions::default()
-        };
-        resilient_sweep(0..6, 2, &opts, |seed, _, counters| {
-            if started.fetch_add(1, Ordering::Relaxed) >= 2 {
-                cancel.store(true, Ordering::Relaxed);
-            }
-            lightbulb_system::integration::fault_check(seed, &cfg, &image, counters)
-        })
-    };
-    assert!(interrupted.interrupted, "the cancel flag must interrupt");
-    assert!(
-        interrupted.conclusive < 6,
-        "interruption must leave seeds unswept"
-    );
-    assert!(
-        cp_path.exists(),
-        "an interrupted sweep must leave a checkpoint"
-    );
-
-    // Resume from the on-disk checkpoint and finish the range.
-    let resume = SweepCheckpoint::load(&cp_path).expect("checkpoint loads");
-    assert!(resume.completed() < 6, "checkpoint must be partial");
-    let resumed = fault_sweep_with(
-        0..6,
-        2,
-        &cfg,
-        &FaultSweepOptions {
-            sweep: SweepOptions {
-                checkpoint: Some(checkpoint()),
-                resume: Some(resume),
-                ..SweepOptions::default()
-            },
-            ..FaultSweepOptions::default()
-        },
-    );
-    resumed.expect_clean("resumed fault sweep");
-    assert_eq!(
-        resumed.to_json().render(),
-        fresh.to_json().render(),
-        "kill-and-resume must reproduce the fresh report byte for byte"
-    );
-    std::fs::remove_file(&cp_path).ok();
-}
-
-/// Resume must refuse a checkpoint from a different sweep: silently
-/// resuming under the wrong geometry would fabricate results.
-#[test]
-fn resume_refuses_a_mismatched_checkpoint() {
-    let cp = SweepCheckpoint::fresh("fault_sweep", 0, 100, 4, 25);
-    assert!(cp.validate(0, 100, 4, 25, Some("fault_sweep")).is_ok());
-    assert!(cp.validate(0, 60, 4, 15, Some("fault_sweep")).is_err());
-    assert!(cp.validate(0, 100, 4, 25, Some("compiler_sweep")).is_err());
-    let opts = SweepOptions {
-        resume: Some(SweepCheckpoint::fresh("", 0, 999, 1, 999)),
-        ..SweepOptions::default()
-    };
-    let panic = std::panic::catch_unwind(|| resilient_sweep(0..4, 2, &opts, |_, _, _| Ok(())))
-        .expect_err("mismatched geometry must refuse to resume");
-    let msg = panic.downcast_ref::<String>().expect("formatted payload");
-    assert!(
-        msg.contains("cannot resume"),
-        "must explain the refusal: {msg}"
-    );
 }
 
 /// The triage path end to end on the real stack: a hand-built
@@ -383,6 +207,14 @@ fn an_unrecoverable_plan_shrinks_to_a_smaller_failing_plan() {
     assert_eq!(
         doc.get("schema").and_then(obs::json::Value::as_str),
         Some("triage-report/v1")
+    );
+    // `--replay-plan` turns liveness mode on exactly when the artifact's
+    // error kind says the failure was a stall.
+    assert_eq!(
+        doc.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(obs::json::Value::as_str),
+        Some("workload_incomplete")
     );
     let replayed = FaultPlan::from_json(doc.get("minimal").expect("minimal plan present"))
         .expect("minimal plan parses back");
