@@ -14,8 +14,9 @@
 //! *shape*: every factor ≥ 1 and a several-fold product.
 
 use bench::{emit_json, json_mode, packet_to_actuation_latency, render_table};
-use lightbulb_system::integration::{ProcessorKind, SystemConfig};
-use lightbulb_system::lightbulb::DriverOptions;
+use lightbulb_system::compiler::{compile, CompileOptions, Entry, MmioExtCompiler};
+use lightbulb_system::integration::{build_image, ProcessorKind, SystemConfig};
+use lightbulb_system::lightbulb::{lightbulb_program, DriverOptions};
 use obs::json::Value;
 
 fn main() {
@@ -55,7 +56,7 @@ fn main() {
     let lat: Vec<u64> = configs
         .iter()
         .map(|(name, c)| {
-            let l = packet_to_actuation_latency(c, 1234).cycles();
+            let l = packet_to_actuation_latency(c, &build_image(c), 1234).cycles();
             eprintln!("  {name}: {l} cycles");
             l
         })
@@ -140,56 +141,22 @@ fn main() {
     // paper implemented it as one of its few optimizations (§7.2); the
     // spill-everything mode removes it.
     eprintln!("\nmeasuring the register-allocation ablation…");
-    let spill_all = SystemConfig {
-        // spill_everything is a compile option, not a SystemConfig field;
-        // build manually below.
-        ..verified
-    };
-    let spill_latency = {
-        use bedrock2_compiler::{compile, CompileOptions, Entry, MmioExtCompiler};
-        use lightbulb_system::devices::{Board, SpiConfig, TrafficGen};
-        use lightbulb_system::processor::Pipelined;
-        let program = lightbulb_system::lightbulb::lightbulb_program(spill_all.driver);
-        let image = compile(
-            &program,
-            &MmioExtCompiler,
-            &CompileOptions {
-                stack_top: spill_all.ram_bytes,
-                stack_size: Some(spill_all.ram_bytes / 4),
-                entry: Entry::EventLoop {
-                    init: Some("lightbulb_init".to_string()),
-                    step: "lightbulb_loop".to_string(),
-                },
-                optimize: false,
-                spill_everything: true,
+    let spill_all = compile(
+        &lightbulb_program(verified.driver),
+        &MmioExtCompiler,
+        &CompileOptions {
+            stack_top: verified.ram_bytes,
+            stack_size: Some(verified.ram_bytes / 4),
+            entry: Entry::EventLoop {
+                init: Some("lightbulb_init".to_string()),
+                step: "lightbulb_loop".to_string(),
             },
-        )
-        .expect("spill-all image compiles");
-        let mut cpu = Pipelined::new(
-            &image.bytes(),
-            spill_all.ram_bytes,
-            Board::new(SpiConfig::default()),
-            spill_all.pipeline,
-        );
-        cpu.run(400_000);
-        let mut gen = TrafficGen::new(1234);
-        cpu.mem.mmio.inject_frame(&gen.command(true));
-        let start = cpu.cycle;
-        let target = cpu.mem.trace.len();
-        let deadline = cpu.cycle + 40_000_000;
-        let mut actuated = None;
-        while cpu.cycle < deadline && actuated.is_none() {
-            cpu.step_cycle();
-            actuated = cpu.mem.trace[target..]
-                .iter()
-                .find(|e| {
-                    e.event.kind == riscv_spec::MmioEventKind::Store
-                        && e.event.addr == lightbulb_system::lightbulb::layout::GPIO_OUTPUT_VAL
-                })
-                .map(|e| e.cycle);
-        }
-        actuated.expect("spill-all system actuates") - start
-    };
+            optimize: false,
+            spill_everything: true,
+        },
+    )
+    .expect("spill-all image compiles");
+    let spill_latency = packet_to_actuation_latency(&verified, &spill_all, 1234).cycles();
     println!();
     println!(
         "register-allocation ablation: {} cycles with regalloc vs {} spilling \
@@ -212,7 +179,7 @@ fn main() {
             },
             ..verified
         };
-        let l = packet_to_actuation_latency(&cfg, 99).cycles();
+        let l = packet_to_actuation_latency(&cfg, &build_image(&cfg), 99).cycles();
         let growth = prev.map_or("—".to_string(), |p| {
             format!("{:.2}×", l as f64 / p as f64)
         });

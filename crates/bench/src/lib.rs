@@ -14,13 +14,13 @@
 //! * `fig_perf` — the §7.2.1 latency decomposition
 //!   (10× ≈ 1.4× · 1.2× · 2.1× · 2.7× in the paper), measured in
 //!   simulated cycles over the same configuration grid;
-//! * `verif_perf` — §7.2.2: wall-clock costs of the checking machinery.
-//!
-//! Criterion benches (`cargo bench`) measure the wall-clock performance of
-//! the simulators and checkers themselves.
+//! * `verif_perf` — §7.2.2: wall-clock costs of the checking machinery;
+//! * `spec_throughput` — spec-machine and pipeline simulation throughput,
+//!   gated against its committed record by `bench_gate`.
 
+use lightbulb_system::compiler::CompiledProgram;
 use lightbulb_system::devices::{Board, TrafficGen};
-use lightbulb_system::integration::{build_image, ProcessorKind, SystemConfig};
+use lightbulb_system::integration::{ProcessorKind, SystemConfig};
 use lightbulb_system::processor::{Pipelined, SingleCycle};
 use obs::json::Value;
 use riscv_spec::MmioEventKind;
@@ -217,15 +217,22 @@ const WARMUP_CYCLES: u64 = 400_000;
 /// Post-injection budget.
 const ACTUATION_BUDGET: u64 = 10_000_000;
 
-/// Measures packet→actuation latency in simulated cycles for one system
-/// configuration (the measurement behind `fig_perf`).
+/// Measures packet→actuation latency in simulated cycles for `image`
+/// running on `config`'s machine, board and RAM (the measurement behind
+/// `fig_perf`). The image is usually
+/// [`build_image`](lightbulb_system::integration::build_image)`(config)`;
+/// taking it prebuilt lets a caller measure compile options a
+/// [`SystemConfig`] does not carry, such as spilling everything.
 ///
 /// # Panics
 ///
 /// Panics if the system fails to boot or actuate within generous budgets —
 /// that would be a workspace bug, not a measurement.
-pub fn packet_to_actuation_latency(config: &SystemConfig, seed: u64) -> LatencyReport {
-    let image = build_image(config);
+pub fn packet_to_actuation_latency(
+    config: &SystemConfig,
+    image: &CompiledProgram,
+    seed: u64,
+) -> LatencyReport {
     let board = Board::new(config.spi);
     let mut gen = TrafficGen::new(seed);
     let frame = gen.command(true);

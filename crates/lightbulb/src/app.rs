@@ -252,8 +252,9 @@ mod tests {
         // At interpreter granularity device time advances one tick per MMIO
         // call, so both drivers are SPI-throughput-bound and take the same
         // wall time; the 1.4× of §7.2.1 appears at the cycle-accurate level
-        // (see the e2e_latency bench). Here we check the two schedules are
-        // genuinely different on the wire yet behaviorally identical.
+        // (`fig_perf`'s SPI-pipelining factor). Here we check the two
+        // schedules are genuinely different on the wire yet behaviorally
+        // identical.
         let mut ticks = Vec::new();
         let mut events = Vec::new();
         for pipelined_spi in [false, true] {

@@ -9,8 +9,9 @@ use crate::event::Event;
 /// non-trivial event construction with `if S::ENABLED { .. }`. With
 /// `NullSink` the guard is a compile-time constant `false`, so the entire
 /// instrumentation block is dead code the optimizer removes — hot loops
-/// pay nothing. The `obs_overhead` criterion bench in `crates/bench`
-/// asserts this empirically (≤ 2% on the pipeline hot loop).
+/// pay nothing. The unit test below pins `NullSink::ENABLED == false` at
+/// compile time; the repository benchmark runs every workload under
+/// `NullSink`, so a disabled path that stopped being free would show there.
 pub trait Sink {
     /// `false` only for sinks that discard everything, letting
     /// instrumentation sites skip event construction entirely.

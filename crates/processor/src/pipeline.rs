@@ -34,7 +34,8 @@ use riscv_spec::{decode, Instruction, MmioHandler};
 /// tracing sink is attached.
 const IPC_SAMPLE_PERIOD: u64 = 4096;
 
-/// Configuration knobs (used by the BTB-ablation benchmark).
+/// Configuration knobs (the BTB ablation in `tests/refinement.rs` turns
+/// `btb_bits` off).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// BTB index bits; `None` disables prediction (always pc+4).
@@ -127,9 +128,8 @@ struct Executed {
 /// The pipelined core.
 ///
 /// `S` is the telemetry sink; the default [`NullSink`] monomorphizes every
-/// instrumentation site away (checked by the `obs_overhead` bench in
-/// `crates/bench`). Use [`Pipelined::with_sink`] to attach a recording
-/// sink such as [`obs::MemSink`].
+/// instrumentation site away. Use [`Pipelined::with_sink`] to attach a
+/// recording sink such as [`obs::MemSink`].
 #[derive(Clone, Debug)]
 pub struct Pipelined<M, S = NullSink> {
     fetch_pc: u32,

@@ -291,8 +291,8 @@ impl<M: MmioHandler> SpecMachine<M> {
     /// Disables (or re-enables) the predecoded instruction cache, dropping
     /// its contents. With the cache off, every fetch takes the seed
     /// interpreter's checked fetch-and-decode path — the baseline the
-    /// `spec_step_throughput` bench and the `icache_equiv` property tests
-    /// compare against.
+    /// `spec_throughput` bin and the `icache_equiv` property tests compare
+    /// against.
     pub fn set_icache_enabled(&mut self, enabled: bool) {
         self.icache.set_enabled(enabled);
     }

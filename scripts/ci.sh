@@ -56,16 +56,57 @@ for e in quickstart lightbulb_demo malformed_packet_fuzz differential_compiler p
   cargo run --release --example "$e" >/dev/null
 done
 
+# Deterministic records: BENCH_<bin>.json files whose bins print the same
+# bytes on every run (table1 is left out: it holds wall-clock *_micros).
+# `--json` rewrites each record in place, so the committed copies are parked
+# first, compared against the regenerated ones after fig_perf, and put back
+# even if a step in between fails.
+RECORDS="table2 table3 table4 fig_perf"
+PARKED_RECORDS=$(mktemp -d)
+for b in $RECORDS; do
+  cp "BENCH_$b.json" "$PARKED_RECORDS/"
+done
+restore_records() {
+  for b in $RECORDS; do
+    if [ -f "$PARKED_RECORDS/BENCH_$b.json" ]; then
+      mv "$PARKED_RECORDS/BENCH_$b.json" "BENCH_$b.json"
+    fi
+  done
+  rm -rf "$PARKED_RECORDS"
+}
+trap restore_records EXIT
+
 echo "== evaluation tables =="
 for b in table1 table2 table3 table4; do
   echo "-- $b"
   cargo run --release -p bench --bin "$b" >/dev/null
 done
+for b in table2 table3 table4; do
+  cargo run --release -p bench --bin "$b" -- --json >/dev/null
+done
 
 echo "== performance bins (budgeted wall clock) =="
-run_budgeted fig_perf 180 cargo run --release -p bench --bin fig_perf >/dev/null
+fig_perf_text_and_json() {
+  cargo run --release -p bench --bin fig_perf >/dev/null
+  cargo run --release -p bench --bin fig_perf -- --json >/dev/null
+}
+run_budgeted fig_perf 180 fig_perf_text_and_json
 run_budgeted verif_perf 120 cargo run --release -p bench --bin verif_perf >/dev/null
 run_budgeted spec_throughput 120 cargo run --release -p bench --bin spec_throughput >/dev/null
+
+echo "== committed deterministic records are current =="
+stale=""
+for b in $RECORDS; do
+  if ! cmp -s "BENCH_$b.json" "$PARKED_RECORDS/BENCH_$b.json"; then
+    stale="$stale BENCH_$b.json"
+  fi
+done
+restore_records
+if [ -n "$stale" ]; then
+  echo "-- stale:$stale (regenerate with \`cargo run --release -p bench --bin <name> -- --json\` and commit)" >&2
+  exit 1
+fi
+echo "-- $RECORDS: regenerated records equal the committed ones"
 
 echo "== fault-sweep smoke (budgeted wall clock) =="
 # Bounded version of the full 1000-seed sweep (BENCH_fault_sweep.json):
@@ -89,7 +130,11 @@ echo "== bench --json =="
 # emit_json re-parses its own output before printing, so a successful run
 # already proves the document is valid; the python pass is an independent
 # parser double-checking the same bytes when one is available.
+# table1's record holds wall-clock *_micros, so a fresh run never equals
+# the committed one: park it and put it back, as for the sweep record below.
+cp BENCH_table1.json /tmp/BENCH_table1.recorded.json
 cargo run --release -p bench --bin table1 -- --json > /tmp/bench_table1.json
+mv /tmp/BENCH_table1.recorded.json BENCH_table1.json
 test -s /tmp/bench_table1.json
 # Machine-readable sweep record. The committed BENCH_fault_sweep.json is
 # the recorded full 1000-seed run; this smoke only proves the --json path

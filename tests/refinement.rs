@@ -2,11 +2,12 @@
 //! single-cycle run, checked over random compiled programs and over the
 //! lightbulb system itself.
 
-use lightbulb_system::compiler::{compile, CompileOptions, MmioExtCompiler};
+use lightbulb_system::compiler::{compile, CompileOptions, MmioExtCompiler, NoExtCompiler};
 use lightbulb_system::integration::debug_dev::DebugDevice;
 use lightbulb_system::integration::progen::ProgGen;
 use lightbulb_system::integration::{build_image, SystemConfig};
-use lightbulb_system::processor::{check_refinement, PipelineConfig};
+use lightbulb_system::processor::{check_refinement, PipelineConfig, Pipelined};
+use lightbulb_system::riscv::NoMmio;
 
 const RAM: u32 = 0x1_0000;
 
@@ -56,6 +57,57 @@ fn refinement_holds_without_a_btb_too() {
         )
         .unwrap_or_else(|d| panic!("seed {seed}: {d:?}"));
     }
+}
+
+#[test]
+fn the_btb_pays_for_itself_on_nested_loops() {
+    // Figure 4's predictor (§5.5): a branch-heavy workload of nested
+    // counted loops finishes in fewer simulated cycles with the BTB than
+    // without it. The exact counts are the ablation EXPERIMENTS.md quotes.
+    use bedrock2::dsl::*;
+    use bedrock2::{Function, Program};
+    let main = Function::new(
+        "main",
+        &[],
+        &["acc"],
+        block([
+            set("acc", lit(0)),
+            set("i", lit(0)),
+            while_(
+                ltu(var("i"), lit(100)),
+                block([
+                    set("j", lit(0)),
+                    while_(
+                        ltu(var("j"), lit(20)),
+                        block([
+                            set("acc", add(var("acc"), var("j"))),
+                            set("j", add(var("j"), lit(1))),
+                        ]),
+                    ),
+                    set("i", add(var("i"), lit(1))),
+                ]),
+            ),
+        ]),
+    );
+    let image = compile(
+        &Program::from_functions([main]),
+        &NoExtCompiler,
+        &CompileOptions::default(),
+    )
+    .unwrap()
+    .bytes();
+    let cycles = |config| {
+        let mut cpu = Pipelined::new(&image, RAM, NoMmio, config);
+        cpu.run(10_000_000);
+        assert!(cpu.halted, "workload must finish");
+        cpu.cycle
+    };
+    let with = cycles(PipelineConfig::default());
+    let without = cycles(PipelineConfig {
+        btb_bits: None,
+        ..PipelineConfig::default()
+    });
+    assert_eq!((with, without), (30241, 34336));
 }
 
 #[test]
